@@ -8,9 +8,9 @@ package repro
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/store"
@@ -251,21 +251,33 @@ func BenchmarkQueryBatchConcurrency(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestThroughput measures durable append throughput under the
-// three sync policies with concurrent appenders: SyncEveryBatch pays one
-// fsync per batch, SyncGrouped shares one fsync per commit group (the
-// ISSUE 3 headline), SyncNever is the no-durability ceiling. The
-// syncs-per-append ratio is reported alongside the timing.
+// BenchmarkIngestThroughput measures durable ingest throughput. The
+// store rows append directly with concurrent appenders: SyncEveryBatch
+// pays one fsync per batch, SyncNever is the no-durability ceiling; the
+// syncs-per-append ratio is reported alongside the timing. The
+// PlatformIngest16 row runs the path the server uses — 16 concurrent
+// uploaders through Platform.Ingest on the default every-batch policy —
+// where the ingest pipeline coalesces concurrent uploads into one append
+// and one fsync, reported as syncs/upload.
 func BenchmarkIngestThroughput(b *testing.B) {
 	policies := []struct {
 		name   string
 		policy store.SyncPolicy
 	}{
 		{"SyncEveryBatch", store.SyncEveryBatch()},
-		{"SyncGrouped", store.SyncGrouped(32, 2*time.Millisecond)},
 		{"SyncNever", store.SyncNever()},
 	}
 	const batchSize = 32
+	ingestBatch := func(c int64) tuple.Batch {
+		batch := make(tuple.Batch, batchSize)
+		for i := range batch {
+			batch[i] = tuple.Raw{
+				T: float64(c)*3600 + float64(i),
+				X: float64(i), Y: 1, S: 420,
+			}
+		}
+		return batch
+	}
 	for _, pc := range policies {
 		pc := pc
 		b.Run(pc.name, func(b *testing.B) {
@@ -280,19 +292,11 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			}
 			defer st.Close()
 			var windowSeq atomic.Int64
-			b.SetParallelism(8) // grouped commit needs company to group
+			b.SetParallelism(8)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					c := windowSeq.Add(1) % 4
-					batch := make(tuple.Batch, batchSize)
-					for i := range batch {
-						batch[i] = tuple.Raw{
-							T: float64(c)*3600 + float64(i),
-							X: float64(i), Y: 1, S: 420,
-						}
-					}
-					if err := st.Append(batch); err != nil {
+					if err := st.Append(ingestBatch(windowSeq.Add(1) % 4)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -305,6 +309,44 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			b.SetBytes(int64(batchSize * 33)) // approx frame payload
 		})
 	}
+	b.Run("PlatformIngest16", func(b *testing.B) {
+		const uploaders = 16
+		p, err := Open(Config{
+			WindowSeconds: 3600,
+			Retain:        4,
+			Dir:           b.TempDir(),
+			Maintenance:   SchedulerConfig{Workers: -1}, // measure ingest, not cover builds
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		ctx := context.Background()
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for u := 0; u < uploaders; u++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					n := next.Add(1)
+					if n > int64(b.N) {
+						return
+					}
+					if err := p.Ingest(ctx, CO2, ingestBatch(n%4)); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		ds := p.stores[CO2].DurabilityStats()
+		b.ReportMetric(float64(ds.Syncs)/float64(b.N), "syncs/upload")
+		b.SetBytes(int64(batchSize * 33))
+	})
 }
 
 // BenchmarkQueryAfterIngest measures the cold-cover query latency the

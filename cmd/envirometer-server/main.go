@@ -10,8 +10,7 @@
 //	                   [-pollutants CO2,CO,PM] [-days 2] [-data file.csv]
 //	                   [-dir segments/] [-covers covers.emcv] [-live]
 //	                   [-speedup 3600] [-seed 1]
-//	                   [-sync every|grouped|never] [-sync-batches 32]
-//	                   [-sync-delay 2ms] [-ingest-queue 64]
+//	                   [-sync every|never] [-ingest-queue 64]
 //	                   [-ingest-maxbatch 4096] [-sched-workers 2]
 //	                   [-sched-queue 128] [-checkpoint-interval 5m]
 //	                   [-checkpoint-keep 1]
@@ -19,9 +18,9 @@
 //	                   [-router] [-cluster-cells 16] [-cluster-vnodes 64]
 //	                   [-replicas 2] [-join host:8081] [-advertise host:8084]
 //
-// The -sync* flags pick the durability policy of -dir (grouped = group
-// commit: one fsync covers up to -sync-batches appends or -sync-delay of
-// accumulation). The -ingest-* flags bound the asynchronous ingest
+// -sync picks the durability policy of -dir (every = fsync before each
+// ack; concurrent uploads to one pollutant coalesce into one append and
+// share its fsync). The -ingest-* flags bound the asynchronous ingest
 // queues; -sched-* tunes the background cover-maintenance scheduler
 // (-sched-workers -1 disables it, putting cover builds back on the
 // query path). With -checkpoint-interval, each pollutant's store
@@ -90,20 +89,18 @@ func main() {
 		speedup = flag.Float64("speedup", 3600, "stream seconds per wall second in -live mode")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 
-		syncMode    = flag.String("sync", "every", "durability sync policy: every, grouped, never")
-		syncBatches = flag.Int("sync-batches", 0, "grouped sync: max appends per commit group (0 = default)")
-		syncDelay   = flag.Duration("sync-delay", 0, "grouped sync: max commit-group age (0 = default)")
-		queueDepth  = flag.Int("ingest-queue", 0, "ingest queue depth per pollutant (0 = default)")
-		maxBatch    = flag.Int("ingest-maxbatch", 0, "max tuples per coalesced ingest append (0 = default)")
-		schedWork   = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
-		schedQueue  = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
-		ckInterval  = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
-		ckKeep      = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
-		columnar    = flag.Bool("columnar", false, "emit columnar sidecar blocks at checkpoint time and recover lazily from them")
-		colNoMmap   = flag.Bool("columnar-no-mmap", false, "force the columnar reader onto pread instead of mmap")
-		subQueue    = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
-		subMax      = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
-		subPoints   = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
+		syncMode   = flag.String("sync", "every", "durability sync policy: every, never")
+		queueDepth = flag.Int("ingest-queue", 0, "ingest queue depth per pollutant (0 = default)")
+		maxBatch   = flag.Int("ingest-maxbatch", 0, "max tuples per coalesced ingest append (0 = default)")
+		schedWork  = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
+		schedQueue = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
+		ckInterval = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
+		ckKeep     = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
+		columnar   = flag.Bool("columnar", false, "emit columnar sidecar blocks at checkpoint time and recover lazily from them")
+		colNoMmap  = flag.Bool("columnar-no-mmap", false, "force the columnar reader onto pread instead of mmap")
+		subQueue   = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
+		subMax     = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
+		subPoints  = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
 
 		clusterNodes  = flag.String("cluster-nodes", "", "comma-separated TCP wire addresses of every cluster node (empty = single node)")
 		nodeID        = flag.Int("node-id", 0, "this process's index in -cluster-nodes")
@@ -115,7 +112,7 @@ func main() {
 		advertise     = flag.String("advertise", "", "this node's wire address exactly as peers should dial it (default: -tcp)")
 	)
 	flag.Parse()
-	sync, err := parseSyncPolicy(*syncMode, *syncBatches, *syncDelay)
+	sync, err := parseSyncPolicy(*syncMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "envirometer-server:", err)
 		os.Exit(2)
@@ -174,17 +171,15 @@ func main() {
 	}
 }
 
-// parseSyncPolicy maps the -sync* flags onto a facade SyncPolicy.
-func parseSyncPolicy(mode string, batches int, delay time.Duration) (repro.SyncPolicy, error) {
+// parseSyncPolicy maps the -sync flag onto a facade SyncPolicy.
+func parseSyncPolicy(mode string) (repro.SyncPolicy, error) {
 	switch mode {
 	case "every", "":
 		return repro.SyncEveryBatch(), nil
-	case "grouped":
-		return repro.SyncGrouped(batches, delay), nil
 	case "never":
 		return repro.SyncNever(), nil
 	default:
-		return repro.SyncPolicy{}, fmt.Errorf("unknown -sync mode %q (want every, grouped, or never)", mode)
+		return repro.SyncPolicy{}, fmt.Errorf("unknown -sync mode %q (want every or never)", mode)
 	}
 }
 
@@ -308,7 +303,15 @@ func run(o options) error {
 // tuples. SIGINT (and a second SIGTERM) skips the drain and stops hard
 // — replicas cover the shards until a promotion.
 func serve(p *repro.Platform, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: p.Handler()}
+	// Header and idle timeouts bound slow or abandoned clients; there is
+	// no read/write timeout because /v1/subscribe streams indefinitely.
+	// Request bodies are capped by the API handlers themselves.
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           p.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	sigs := make(chan os.Signal, 2) //bounded: two pending signals at most matter (first drains, second aborts)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	errc := make(chan error, 1) //bounded: one terminal server error

@@ -50,7 +50,6 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -129,19 +128,12 @@ var (
 )
 
 // SyncPolicy selects when durable appends reach stable storage; build
-// one with SyncEveryBatch, SyncGrouped, or SyncNever.
+// one with SyncEveryBatch or SyncNever.
 type SyncPolicy = store.SyncPolicy
 
 // SyncEveryBatch fsyncs every appended batch before acknowledging it —
 // the default whenever Config.Dir is set.
 func SyncEveryBatch() SyncPolicy { return store.SyncEveryBatch() }
-
-// SyncGrouped amortizes durability: one fsync covers up to maxBatches
-// appends or maxDelay of accumulation (group commit); every append is
-// acknowledged only after its group's fsync. 0 picks the defaults.
-func SyncGrouped(maxBatches int, maxDelay time.Duration) SyncPolicy {
-	return store.SyncGrouped(maxBatches, maxDelay)
-}
 
 // SyncNever acknowledges durable appends on write and leaves flushing to
 // the OS — the platform's historical (weakest, fastest) guarantee.
@@ -345,9 +337,9 @@ type Config struct {
 	// With several pollutants, each persists into its own subdirectory.
 	Dir string
 	// Sync selects when durable appends reach stable storage (used only
-	// with Dir). The zero value is SyncEveryBatch(); SyncGrouped
-	// amortizes fsyncs across concurrent ingests, SyncNever trades crash
-	// safety for throughput.
+	// with Dir). The zero value is SyncEveryBatch(): the ingest pipeline
+	// coalesces concurrent uploads into one append, so they share one
+	// fsync. SyncNever trades crash safety for throughput.
 	Sync SyncPolicy
 	// IngestQueue tunes the asynchronous ingest pipeline (bounded
 	// per-pollutant queues, coalescing, block/reject overflow). The zero

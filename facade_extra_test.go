@@ -129,14 +129,13 @@ func TestRouteSummaryAgainstPlatform(t *testing.T) {
 	}
 }
 
-// TestPlatformAsyncIngestKnobs exercises the ISSUE 3 facade surface:
-// grouped-commit durability, the ingest pipeline counters, background
-// cover maintenance, and the closed-platform write refusal.
+// TestPlatformAsyncIngestKnobs exercises the async-ingest facade
+// surface: durable every-batch ingest, the ingest pipeline counters,
+// background cover maintenance, and the closed-platform write refusal.
 func TestPlatformAsyncIngestKnobs(t *testing.T) {
 	p, err := Open(Config{
 		WindowSeconds: 3600,
 		Dir:           t.TempDir(),
-		Sync:          SyncGrouped(8, 0),
 		IngestQueue:   PipelineConfig{QueueDepth: 16},
 		Maintenance:   SchedulerConfig{Workers: 1},
 	})

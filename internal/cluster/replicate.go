@@ -62,10 +62,10 @@ const (
 	// overflowing queue drops frames rather than stalling the commit
 	// path; the replica detects the sequence gap and heals via catch-up.
 	defaultReplQueue = 256
-	// defaultLogRetain caps each pollutant's replication log (tuples).
-	// A replica behind the log start takes a snapshot reset; the cap
-	// should comfortably cover the engines' retention window so resets
-	// stay rare.
+	// defaultLogRetain caps every replication log (tuples): a primary's
+	// per-pollutant log and each mirror's tail. A replica behind the log
+	// start takes a snapshot reset; the cap should comfortably cover the
+	// engines' retention window so resets stay rare.
 	defaultLogRetain = 1 << 17
 	// maxPullRounds bounds one catch-up session (4+ full logs at the
 	// default sizes); a replica that cannot converge in that many
@@ -85,12 +85,6 @@ type ReplicationConfig struct {
 	// which is what makes mirror answers byte-equal). Required when the
 	// ring's replication factor exceeds 1 and the node owns shards.
 	NewMirror func() Handler
-	// LogRetain caps the per-pollutant replication log in tuples
-	// (0 = defaultLogRetain).
-	LogRetain int
-	// QueueDepth bounds each peer stream worker's queue in frames
-	// (0 = defaultReplQueue).
-	QueueDepth int
 }
 
 // ReplicationStats counts a node's replication activity.
@@ -126,38 +120,23 @@ type mirrorKey struct {
 
 // mirror is one (origin, pollutant) mirror: the handler holding the
 // replayed state and the replication sequence it has applied. The
-// mirror also keeps its own copy of the stream's log tail (sequence
-// space [logStart, have), pruned like a primary log): it is what lets
-// this replica serve a ShardTransfer for a dead origin during
-// promotion, and replay its mirror into its own primary state when it
-// is the one promoting.
+// mirror also keeps its own bounded tail of the stream (log.next() ==
+// have): it is what lets this replica serve a ShardTransfer for a dead
+// origin during promotion, and replay its mirror into its own primary
+// state when it is the one promoting.
 type mirror struct {
-	mu       sync.Mutex
-	h        Handler
-	have     uint64
-	pulling  bool
-	logStart uint64
-	log      []tuple.Raw
-}
-
-// appendLogLocked extends the mirror's log tail with just-applied
-// tuples, pruned to the retention cap. Caller holds m.mu; the caller
-// has already advanced have, so logStart + len(log) == have holds on
-// return.
-func (m *mirror) appendLogLocked(tuples []tuple.Raw, retain int) {
-	m.log = append(m.log, tuples...)
-	if over := len(m.log) - retain; over > 0 {
-		m.logStart += uint64(over)
-		m.log = append(m.log[:0:0], m.log[over:]...)
-	}
+	mu      sync.Mutex
+	h       Handler
+	have    uint64
+	pulling bool
+	log     seqLog
 }
 
 // replLog is one pollutant's replication log on a primary: the
-// committed tuples from sequence start, pruned to the retention cap.
+// committed tuples, bounded like every seqLog.
 type replLog struct {
-	mu     sync.Mutex
-	start  uint64
-	tuples []tuple.Raw
+	mu sync.Mutex
+	seqLog
 }
 
 // replicator holds a node's replication state: the primary-side logs
@@ -165,8 +144,9 @@ type replLog struct {
 type replicator struct {
 	n         *Node
 	newMirror func() Handler
-	retain    int
-	queue     int
+	// retain caps every replication log (tuples). Tests lower it before
+	// the first ingest; logs take the cap when created.
+	retain int
 
 	logMu sync.Mutex
 	logs  map[tuple.Pollutant]*replLog
@@ -185,22 +165,14 @@ type replicator struct {
 }
 
 func newReplicator(n *Node, cfg ReplicationConfig) *replicator {
-	r := &replicator{
+	return &replicator{
 		n:         n,
 		newMirror: cfg.NewMirror,
-		retain:    cfg.LogRetain,
-		queue:     cfg.QueueDepth,
+		retain:    defaultLogRetain,
 		logs:      make(map[tuple.Pollutant]*replLog),
 		peers:     make(map[int]chan wire.ReplicaIngest),
 		mirrors:   make(map[mirrorKey]*mirror),
 	}
-	if r.retain <= 0 {
-		r.retain = defaultLogRetain
-	}
-	if r.queue <= 0 {
-		r.queue = defaultReplQueue
-	}
-	return r
 }
 
 func (r *replicator) stats() ReplicationStats {
@@ -226,7 +198,7 @@ func (r *replicator) log(pol tuple.Pollutant) *replLog {
 	defer r.logMu.Unlock()
 	lg, ok := r.logs[pol]
 	if !ok {
-		lg = &replLog{}
+		lg = &replLog{seqLog: newSeqLog(r.retain)}
 		r.logs[pol] = lg
 	}
 	return lg
@@ -278,12 +250,8 @@ func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Messa
 	if _, ok := resp.(wire.IngestResponse); !ok {
 		return resp
 	}
-	seq := lg.start + uint64(len(lg.tuples))
-	lg.tuples = append(lg.tuples, m.Tuples...)
-	if over := len(lg.tuples) - r.retain; over > 0 {
-		lg.start += uint64(over)
-		lg.tuples = append(lg.tuples[:0:0], lg.tuples[over:]...)
-	}
+	seq := lg.next()
+	lg.append(m.Tuples)
 	r.fanout(m.Pollutant, seq, m.Tuples)
 	return resp
 }
@@ -317,7 +285,7 @@ func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
 	}
 	q, ok := r.peers[peer]
 	if !ok {
-		q = make(chan wire.ReplicaIngest, r.queue) //bounded: replication queue depth (ReplicationConfig.QueueDepth, default defaultReplQueue)
+		q = make(chan wire.ReplicaIngest, defaultReplQueue) //bounded: replication queue depth (defaultReplQueue)
 		r.peers[peer] = q
 		r.wg.Add(1)
 		go r.streamTo(peer, q)
@@ -346,10 +314,8 @@ func (r *replicator) streamTo(peer int, q chan wire.ReplicaIngest) {
 	}
 }
 
-// handleCatchup answers a replica's "I have seq N": a suffix chunk
-// when the log still covers N, a snapshot reset (stream from the log
-// start after dropping mirror state) when the replica is behind the
-// log or has diverged past it.
+// handleCatchup answers a replica's "I have seq N" from this node's
+// own log of the pollutant (see seqLog.chunk).
 func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
 	r := n.repl
 	if r == nil {
@@ -358,30 +324,7 @@ func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
 	lg := r.log(m.Pollutant)
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	next := lg.start + uint64(len(lg.tuples))
-	resp := wire.ReplicaCatchupResponse{}
-	var idx int
-	switch {
-	case m.Have == next:
-		return wire.ReplicaCatchupResponse{From: next, Done: true}
-	case m.Have > next || m.Have < lg.start:
-		// Behind the log (pruned past it) or ahead of it (this primary
-		// restarted): the suffix no longer reconstructs the replica's
-		// state, so reset it and replay the full retained log.
-		resp.Snapshot = true
-		resp.From = lg.start
-		idx = 0
-	default:
-		resp.From = m.Have
-		idx = int(m.Have - lg.start)
-	}
-	end := idx + maxCatchupChunk
-	if end > len(lg.tuples) {
-		end = len(lg.tuples)
-	}
-	resp.Tuples = append([]tuple.Raw(nil), lg.tuples[idx:end]...)
-	resp.Done = end == len(lg.tuples)
-	return resp
+	return lg.chunk(m.Have)
 }
 
 // --- replica side -----------------------------------------------------
@@ -402,7 +345,7 @@ func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	r.mirMu.Lock()
 	m, ok = r.mirrors[k]
 	if !ok {
-		m = &mirror{h: h}
+		m = &mirror{h: h, log: newSeqLog(r.retain)}
 		r.mirrors[k] = m
 	}
 	r.mirMu.Unlock()
@@ -464,7 +407,7 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: mirror apply: unexpected %T", resp)}
 	}
 	mir.have = end
-	mir.appendLogLocked(tuples, r.retain)
+	mir.log.append(tuples)
 	r.applied.Add(1)
 	return wire.IngestResponse{Ingested: uint32(len(tuples))}
 }
@@ -523,8 +466,7 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 			old = mir.h
 			mir.h = fresh
 			mir.have = cr.From
-			mir.logStart = cr.From
-			mir.log = nil
+			mir.log.reset(cr.From)
 			r.snapshots.Add(1)
 		}
 		done := r.applyChunkLocked(mir, pol, cr)
@@ -553,7 +495,7 @@ func (r *replicator) applyChunkLocked(mir *mirror, pol tuple.Pollutant, cr wire.
 			return true // mirror refused (e.g. saturated); next gap retries
 		}
 		mir.have = end
-		mir.appendLogLocked(tuples, r.retain)
+		mir.log.append(tuples)
 	}
 	return cr.Done
 }

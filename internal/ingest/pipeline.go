@@ -77,9 +77,11 @@ type submission struct {
 
 // Pipeline is the asynchronous ingest path: a bounded queue per
 // pollutant, drained by one worker each, which coalesces small uploads
-// into larger sink appends. A submission is acknowledged only after the
+// into larger sink appends. This coalescing is the platform's group
+// commit: uploads that arrive while one append (and its fsync) runs ride
+// the next append together. A submission is acknowledged only after the
 // sink call covering it returns — with a durable store under the sink,
-// only after its commit group is durable. Batches are validated on
+// only after that append is fsynced. Batches are validated on
 // submit, so a coalesced append can only fail for reasons (I/O) that
 // legitimately concern every upload in it.
 type Pipeline struct {

@@ -202,6 +202,42 @@ func TestPipelineSinkErrorReachesSubmitter(t *testing.T) {
 	if st := p.Stats(); st.Errors != 1 {
 		t.Fatalf("Errors = %d, want 1", st.Errors)
 	}
+
+	// A coalesced append: hold the worker inside one failing sink call
+	// while uploads pile up behind it; the next call carries them all,
+	// and its one error must reach every one of them.
+	cs.gate = make(chan struct{})
+	cs.entered = make(chan struct{}, 16)
+	ctx := context.Background()
+	first := make(chan error, 1)
+	go func() { first <- p.Submit(ctx, tuple.CO2, pipeBatch(10, 1)) }()
+	<-cs.entered
+	const piled = 5
+	errs := make(chan error, piled)
+	for i := 0; i < piled; i++ {
+		i := i
+		go func() { errs <- p.Submit(ctx, tuple.CO2, pipeBatch(float64(100+10*i), 2)) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Queued < piled+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("uploads never queued: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(cs.gate)
+	if err := <-first; !errors.Is(err, boom) {
+		t.Fatalf("gated Submit = %v, want the sink error", err)
+	}
+	for i := 0; i < piled; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Fatalf("coalesced Submit = %v, want the sink error", err)
+		}
+	}
+	st := p.Stats()
+	if calls, _ := cs.snapshot(); calls != 3 || st.Errors != 3 || st.Coalesced != piled-1 {
+		t.Fatalf("sink calls = %d, Stats = %+v; want 3 calls, 3 errors, %d coalesced", calls, st, piled-1)
+	}
 }
 
 // TestPipelineCloseDrains checks queued uploads are applied (and their

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -218,8 +217,7 @@ func (a *API) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Addr string `json:"addr"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode join body: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if body.Addr == "" {

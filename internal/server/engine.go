@@ -101,7 +101,7 @@ type shard struct {
 // Writes flow through an asynchronous pipeline: Ingest enqueues onto the
 // pollutant's bounded queue and blocks until the (possibly coalesced)
 // store append covering the upload completes — with a durable store,
-// until its commit group is durable. Each applied append invalidates the
+// until that append is fsynced. Each applied append invalidates the
 // touched windows, which the background scheduler drains into prioritized
 // cover rebuilds, so the query path finds covers already built instead of
 // paying Ad-KMN on first touch.
@@ -624,10 +624,10 @@ func (e *Engine) CoverAt(ctx context.Context, p tuple.Pollutant, t float64) (*co
 
 // Ingest submits a batch of raw tuples for pollutant p through the
 // asynchronous pipeline and blocks until the append covering it
-// completes (with a durable store, until the batch's commit group is
-// durable). A full queue follows the pipeline's overflow policy —
-// blocking by default. Applied windows are invalidated and queued for a
-// background cover rebuild.
+// completes (with a durable store, until that append is fsynced). A
+// full queue follows the pipeline's overflow policy — blocking by
+// default. Applied windows are invalidated and queued for a background
+// cover rebuild.
 func (e *Engine) Ingest(ctx context.Context, p tuple.Pollutant, b tuple.Batch) error {
 	return e.ingest(ctx, p, b, false)
 }

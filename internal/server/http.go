@@ -72,6 +72,28 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes caps every decoded request body: a batch of
+// wire.MaxBatchItems items, each spelled out at up to 256 bytes of
+// JSON, still fits.
+const maxBodyBytes = wire.MaxBatchItems * 256
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes. On failure it writes the response itself — 413 when the
+// body overflows the cap, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	return false
+}
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -300,8 +322,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var br batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &br) {
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -381,8 +402,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req continuousRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -611,8 +631,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req routeSummaryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rec := route.NewRecorder(route.RecorderConfig{})
@@ -680,8 +699,7 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pol, err := a.queryPollutant(r)

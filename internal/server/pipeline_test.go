@@ -1,11 +1,11 @@
 package server
 
-// The ISSUE 3 acceptance test, run under `go test -race`: after an
-// ingest burst through the asynchronous pipeline, (1) a subsequent query
-// finds its cover already built by the background scheduler — no
-// synchronous Ad-KMN on the query path — and (2) grouped commit issued
-// measurably fewer fsyncs than batches appended, asserted via the
-// store's sync-counting hook (DurabilityStats).
+// Ingest-path tests, run under `go test -race`: after an ingest burst
+// through the asynchronous pipeline, (1) a subsequent query finds its
+// cover already built by the background scheduler — no synchronous
+// Ad-KMN on the query path — and (2) the pipeline's coalescing is the
+// group commit: concurrent uploads share one store append and so one
+// fsync, asserted via the store's sync-counting hook (DurabilityStats).
 
 import (
 	"context"
@@ -22,7 +22,9 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestIngestBurstPrebuildsCoversAndGroupsSyncs is the acceptance test.
+// TestIngestBurstPrebuildsCoversAndGroupsSyncs checks a concurrent
+// upload burst leaves every touched window's cover prebuilt, and that
+// every store append paid exactly one fsync.
 func TestIngestBurstPrebuildsCoversAndGroupsSyncs(t *testing.T) {
 	const (
 		windowLen = 100.0
@@ -30,11 +32,7 @@ func TestIngestBurstPrebuildsCoversAndGroupsSyncs(t *testing.T) {
 		uploaders = 8
 		uploads   = 4 // per uploader
 	)
-	st, err := store.Open(store.Config{
-		WindowLength: windowLen,
-		Dir:          t.TempDir(),
-		Sync:         store.SyncGrouped(8, 50*time.Millisecond),
-	})
+	st, err := store.Open(store.Config{WindowLength: windowLen, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,50 +95,69 @@ func TestIngestBurstPrebuildsCoversAndGroupsSyncs(t *testing.T) {
 		}
 	}
 
-	// Group commit: the burst's durable appends shared fsyncs.
+	// Every-batch durability: one fsync per store append, and one store
+	// append per pipeline sink call (coalesced uploads share both).
 	ds := st.DurabilityStats()
-	if ds.Appends == 0 {
-		t.Fatal("no durable appends recorded")
+	if ds.Appends == 0 || ds.Syncs != ds.Appends {
+		t.Fatalf("DurabilityStats = %+v, want one sync per append", ds)
 	}
-	if ds.Syncs >= ds.Appends {
-		// The pipeline coalesces concurrent uploads into few appends; with
-		// enough uploads the burst still outpaces one-fsync-per-append.
-		t.Logf("engine path: %d syncs / %d appends (coalescing dominates)", ds.Syncs, ds.Appends)
+	if ps := e.PipelineStats(); ps.Appends != ds.Appends || ps.Submitted != uploaders*uploads {
+		t.Fatalf("PipelineStats = %+v, want %d submissions in %d appends", ps, uploaders*uploads, ds.Appends)
 	}
+}
 
-	// The store-level half of the criterion, same -race run: concurrent
-	// appenders on a grouped-commit store share fsyncs, counted by the
-	// store's sync hook.
-	st2, err := store.Open(store.Config{
-		WindowLength: windowLen,
-		Dir:          t.TempDir(),
-		Sync:         store.SyncGrouped(8, 50*time.Millisecond),
-	})
+// TestIngestGatedBurstSharesSyncs holds the CO2 ingest worker inside its
+// sink while 16 uploads queue behind it, then releases it: the pipeline
+// must fold the queued uploads into one append, so the whole burst costs
+// at most two store appends and two fsyncs, and every upload is acked.
+func TestIngestGatedBurstSharesSyncs(t *testing.T) {
+	const (
+		windowLen = 100.0
+		uploads   = 16
+	)
+	st, err := store.Open(store.Config{WindowLength: windowLen, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	var wg2 sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		w := w
-		wg2.Add(1)
+	defer st.Close()
+	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	release := make(chan struct{})
+	e.ingestTestGate = func(tuple.Pollutant) { <-release }
+
+	ctx := context.Background()
+	errs := make(chan error, uploads)
+	for u := 0; u < uploads; u++ {
+		u := u
 		go func() {
-			defer wg2.Done()
-			for i := 0; i < 4; i++ {
-				if err := st2.Append(seedBatch(tuple.CO2, w%windows, windowLen, 5, int64(w*10+i))); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
+			errs <- e.Ingest(ctx, tuple.CO2, seedBatch(tuple.CO2, u%4, windowLen, 5, int64(u)))
 		}()
 	}
-	wg2.Wait()
-	ds2 := st2.DurabilityStats()
-	if ds2.Appends != 64 {
-		t.Fatalf("Appends = %d, want 64", ds2.Appends)
+	// Every upload is accepted (one in the gated sink, the rest queued)
+	// before the worker is released.
+	deadline := time.Now().Add(10 * time.Second)
+	for e.PipelineStats().Queued < uploads {
+		if time.Now().After(deadline) {
+			t.Fatalf("uploads never queued: %+v", e.PipelineStats())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if ds2.Syncs >= ds2.Appends {
-		t.Fatalf("grouped commit issued %d syncs for %d appends, want measurably fewer", ds2.Syncs, ds2.Appends)
+	close(release)
+	for u := 0; u < uploads; u++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("upload not acked: %v", err)
+		}
+	}
+	ds := st.DurabilityStats()
+	if ds.Appends > 2 || ds.Syncs > 2 {
+		t.Fatalf("DurabilityStats = %+v, want <= 2 appends and <= 2 syncs for %d uploads", ds, uploads)
+	}
+	if got, want := st.Len(), uploads*5; got != want {
+		t.Fatalf("store holds %d tuples, want %d", got, want)
 	}
 }
 

@@ -96,7 +96,6 @@ func TestRestartEquivalence(t *testing.T) {
 		checkpoint CheckpointConfig
 	}{
 		{"every-batch", SyncEveryBatch(), CheckpointConfig{}},
-		{"grouped", SyncGrouped(8, time.Millisecond), CheckpointConfig{}},
 		{"never", SyncNever(), CheckpointConfig{}},
 		{"every-batch-checkpointed", SyncEveryBatch(), CheckpointConfig{Interval: time.Hour}},
 		{"never-checkpointed-keep", SyncNever(), CheckpointConfig{Interval: time.Hour, KeepSegments: 2}},
