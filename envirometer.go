@@ -35,7 +35,7 @@
 // geo-cell) shard keys on a consistent-hash ring, and every platform
 // routes requests it does not own to the node that does.
 //
-// The deeper layers (spatial indexes, k-means, regression, wire codecs,
+// The deeper layers (spatial indexes, k-means, regression, wire codec,
 // the shard ring, the simulated deployment) live in internal/ packages;
 // this package re-exports the surface a downstream user needs. See
 // docs/ARCHITECTURE.md for how a tuple travels through those layers and
@@ -399,9 +399,9 @@ func (cfg Config) pollutants() []Pollutant {
 
 // storeDir returns the segment directory of one pollutant's store. An
 // explicit Pollutants list — even of one — namespaces per pollutant
-// (the layout OpenObservatory has always used); only the legacy
-// implicit-single-pollutant config keeps the flat layout, so pre-v1
-// durable directories recover unchanged.
+// into Dir/<pollutant>; only the legacy implicit-single-pollutant config
+// keeps the flat layout, so pre-v1 durable directories recover
+// unchanged.
 func (cfg Config) storeDir(p Pollutant) string {
 	if cfg.Dir == "" {
 		return ""
@@ -1099,6 +1099,12 @@ func (p *Platform) Handler() http.Handler { return p.api }
 // ClassifyCO2 returns the display band for a CO2 concentration in ppm.
 func ClassifyCO2(ppm float64) CO2Band { return eval.ClassifyCO2(ppm) }
 
+// ClassifyPollutant returns the display band for a value of any monitored
+// pollutant (the multi-pollutant counterpart of ClassifyCO2).
+func ClassifyPollutant(p Pollutant, value float64) CO2Band {
+	return eval.ClassifyPollutant(p, value)
+}
+
 // SimulateLausanne generates the synthetic equivalent of the paper's
 // lausanne-data deployment: durationSeconds of two bus lines (four
 // vehicles) sampling CO2 every 60 s. The same seed always produces the
@@ -1113,6 +1119,25 @@ func SimulateLausanne(seed int64, durationSeconds float64) ([]Reading, error) {
 		return nil, err
 	}
 	return []Reading(b), nil
+}
+
+// SimulateLausanneMulti generates the synthetic deployment for several
+// pollutants at once: shared bus trajectories, per-pollutant fields and
+// sensor noise.
+func SimulateLausanneMulti(seed int64, durationSeconds float64, pollutants []Pollutant) (map[Pollutant][]Reading, error) {
+	cfg := sim.DefaultLausanne(seed)
+	if durationSeconds > 0 {
+		cfg.Duration = durationSeconds
+	}
+	batches, err := sim.GenerateMulti(cfg, pollutants)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[Pollutant][]Reading, len(batches))
+	for p, b := range batches {
+		out[p] = []Reading(b)
+	}
+	return out, nil
 }
 
 // LausanneProjection returns the projection between WGS84 and the local

@@ -6,7 +6,7 @@ import "testing"
 // analyzer must flag.
 func FuzzWireDecode(f *testing.F) {
 	var bin binaryCodec
-	for _, m := range []Message{FullMsg{}, NoBinEncMsg{}, NoJSONDecMsg{}, LegacyMsg{}, LegacyOKMsg{}} {
+	for _, m := range []Message{FullMsg{}, NoBinEncMsg{}, NoBinDecMsg{}, LegacyMsg{}, LegacyOKMsg{}} {
 		if b, err := bin.Encode(m); err == nil {
 			f.Add(b)
 		}

@@ -1,19 +1,17 @@
 // Package wiretag is an exhaustiveness checker for the wire protocol:
 // every message tag constant (a package-level constant of the package's
 // MsgType type) must be handled by the binary codec's Encode and Decode
-// paths and the JSON codec's Decode path (JSON Encode is
-// envelope-generic and needs no per-tag case), must map to a message
-// struct via a Type() method, must be seeded into FuzzWireDecode, and —
-// when the message carries a Legacy field, i.e. has a pre-v1 layout —
-// must be covered by a legacy-decode test. PR 5 and PR 6 each added
-// tags to three codec paths plus fuzz seeds by hand; this pass turns
-// "did you update all five places" into a single diagnostic per
-// missing pairing.
+// paths, must map to a message struct via a Type() method, must be
+// seeded into FuzzWireDecode, and — when the message carries a Legacy
+// field, i.e. has a pre-v1 layout — must be covered by a legacy-decode
+// test. A new tag touches both codec paths plus the fuzz seeds by hand;
+// this pass turns "did you update every place" into a single diagnostic
+// per missing pairing.
 //
-// Codec attribution is by receiver naming convention: encode/decode
-// entry methods named Encode/Decode on a type whose name contains
-// "binary" or "json" root the reachability walk, and every same-package
-// function reachable from a root belongs to that codec path.
+// Codec attribution is by receiver naming convention: entry methods
+// named Encode/Decode on a type whose name contains "binary" root the
+// reachability walk, and every same-package function reachable from a
+// root belongs to that codec path.
 package wiretag
 
 import (
@@ -88,7 +86,6 @@ func run(pass *analysis.Pass) error {
 	// Reachability per codec path.
 	binEnc := reachable(pass, facts, "binary", "Encode")
 	binDec := reachable(pass, facts, "binary", "Decode")
-	jsonDec := reachable(pass, facts, "json", "Decode")
 
 	refIn := func(set map[*types.Func]bool, c *types.Const) bool {
 		for _, ff := range facts {
@@ -117,9 +114,6 @@ func run(pass *analysis.Pass) error {
 		}
 		if !refIn(binDec, tag) {
 			missing = append(missing, "binary-codec Decode path")
-		}
-		if !refIn(jsonDec, tag) {
-			missing = append(missing, "JSON-codec Decode path")
 		}
 		st := structOf[tag]
 		if st == nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -169,7 +170,8 @@ func PrintAblationModelFamily(w io.Writer, rows []AblationModelRow) {
 	}
 }
 
-// AblationCodecRow compares wire codecs on the model-cache payload.
+// AblationCodecRow is one encoding's message sizes for the model-cache
+// payload.
 type AblationCodecRow struct {
 	Codec         string
 	ModelRespByte int
@@ -177,8 +179,8 @@ type AblationCodecRow struct {
 	QueryRespByte int
 }
 
-// RunAblationCodec measures message sizes under both codecs for a real
-// cover.
+// RunAblationCodec measures message sizes for a real cover under the
+// binary codec and under JSON.
 func RunAblationCodec(d *Dataset, h int, seed int64) ([]AblationCodecRow, error) {
 	start := len(d.Data) / 3
 	if start+h > len(d.Data) {
@@ -196,28 +198,46 @@ func RunAblationCodec(d *Dataset, h int, seed int64) ([]AblationCodecRow, error)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationCodecRow, 0, 2)
-	for _, codec := range []wire.Codec{wire.Binary, wire.JSON} {
-		mr, err := codec.Encode(resp)
+	codecs := []struct {
+		name   string
+		encode func(wire.Message) ([]byte, error)
+	}{{"binary", wire.Binary.Encode}, {"json", encodeJSONEnvelope}}
+	rows := make([]AblationCodecRow, 0, len(codecs))
+	for _, codec := range codecs {
+		mr, err := codec.encode(resp)
 		if err != nil {
 			return nil, err
 		}
-		qq, err := codec.Encode(wire.QueryRequest{T: 1, X: 2, Y: 3})
+		qq, err := codec.encode(wire.QueryRequest{T: 1, X: 2, Y: 3})
 		if err != nil {
 			return nil, err
 		}
-		qr, err := codec.Encode(wire.QueryResponse{Value: 512.5})
+		qr, err := codec.encode(wire.QueryResponse{Value: 512.5})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationCodecRow{
-			Codec:         codec.Name(),
+			Codec:         codec.name,
 			ModelRespByte: len(mr),
 			QueryReqByte:  len(qq),
 			QueryRespByte: len(qr),
 		})
 	}
 	return rows, nil
+}
+
+// encodeJSONEnvelope is the ablation's JSON arm: the message marshalled
+// with encoding/json under a {"type","payload"} envelope, the tag a
+// self-describing JSON transport needs to tell messages apart.
+func encodeJSONEnvelope(m wire.Message) ([]byte, error) {
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(struct {
+		Type    wire.MsgType    `json:"type"`
+		Payload json.RawMessage `json:"payload"`
+	}{m.Type(), payload})
 }
 
 // PrintAblationCodec renders the codec ablation.

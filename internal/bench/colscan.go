@@ -117,6 +117,19 @@ type ColscanResult struct {
 	Equivalent bool `json:"equivalent"`
 }
 
+// Check reports the first acceptance criterion the run misses: both
+// scan paths answered identically, and the columnar path actually read
+// blocks. The speedup floor is the caller's to choose.
+func (r ColscanResult) Check() error {
+	if !r.Equivalent {
+		return fmt.Errorf("columnar and row scan paths returned different answers")
+	}
+	if r.BlocksScanned <= 0 || r.ColBytesRead <= 0 {
+		return fmt.Errorf("no columnar reads recorded (%d blocks, %d bytes)", r.BlocksScanned, r.ColBytesRead)
+	}
+	return nil
+}
+
 // colscanClusters returns window c's cluster centers: a handful of
 // sites that drift window to window, so blocks sort into distinct cell
 // runs and region scans have something to prune.

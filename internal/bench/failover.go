@@ -15,18 +15,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/kmeans"
-	"repro/internal/query"
-	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -99,203 +91,31 @@ type FailoverResult struct {
 	HedgeProbes   int64   `json:"hedge_probes"`
 	HedgeWins     int64   `json:"hedge_wins"`
 
-	// Acceptance booleans (re-checked by the CLI after writing the
-	// file): zero 502s on the dead node's shards, byte-equal replica
-	// answers, and a hedged p99 no worse than the unhedged one.
+	// Acceptance booleans (see Check): zero 502s on the dead node's
+	// shards, byte-equal replica answers, and a hedged p99 no worse than
+	// the unhedged one.
 	ZeroErrorFailover bool `json:"zero_error_failover"`
 	ByteEqualReplicas bool `json:"byte_equal_replicas"`
 	HedgeP99Improved  bool `json:"hedged_p99_le_unhedged"`
 }
 
-// failCluster is an in-process replicated cluster: real engines, real
-// ring, real binary codec on every hop, with a per-node kill switch and
-// injectable latency standing in for a dead or slow network peer.
-type failCluster struct {
-	ring    *cluster.Ring
-	engines []*server.Engine
-	nodes   []*cluster.Node
-	dead    []atomic.Bool
-	delayNS []atomic.Int64
-}
-
-type failTransport struct {
-	c  *failCluster
-	to int
-}
-
-func (t *failTransport) Exchange(req wire.Message) (wire.Message, error) {
-	if d := t.c.delayNS[t.to].Load(); d > 0 {
-		time.Sleep(time.Duration(d))
+// Check reports the first acceptance criterion the run misses: its
+// three booleans, plus a run that actually read the dead node's shards
+// and won a hedge race.
+func (r FailoverResult) Check() error {
+	switch {
+	case !r.ZeroErrorFailover:
+		return fmt.Errorf("failover was not error-free: %d/%d queries failed, %d ingest failures, %d failovers",
+			r.FailedAfterKill, r.QueriesAfterKill, r.IngestFailures, r.ClientFailovers)
+	case !r.ByteEqualReplicas:
+		return fmt.Errorf("%d replica answers diverged from the dead owner's", r.Mismatches)
+	case !r.HedgeP99Improved:
+		return fmt.Errorf("hedging did not hold p99: hedged %.3fms vs unhedged %.3fms (%d wins)",
+			r.HedgedP99Ms, r.UnhedgedP99Ms, r.HedgeWins)
+	case r.VictimShardQueries <= 0 || r.HedgeWins <= 0:
+		return fmt.Errorf("no victim-shard reads (%d) or hedge wins (%d)", r.VictimShardQueries, r.HedgeWins)
 	}
-	if t.c.dead[t.to].Load() {
-		return nil, fmt.Errorf("node %d is down", t.to)
-	}
-	reqB, err := wire.Binary.Encode(req)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := wire.Binary.Decode(reqB)
-	if err != nil {
-		return nil, err
-	}
-	resp := t.c.nodes[t.to].HandleMessage(decoded)
-	respB, err := wire.Binary.Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	return wire.Binary.Decode(respB)
-}
-
-const (
-	failWindowLen = 3600.0
-	failQueryT    = 1800.0
-)
-
-var failRegion = geo.Rect{Min: geo.Point{X: -2000, Y: -2000}, Max: geo.Point{X: 2000, Y: 2000}}
-
-func newFailEngine(seed int64) (*server.Engine, error) {
-	st := store.MustOpenMemory(failWindowLen)
-	return server.NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: seed}})
-}
-
-func newFailCluster(cfg FailoverConfig) (*failCluster, error) {
-	cells, err := cluster.Cells(failRegion, cfg.CellsPerSide, 1)
-	if err != nil {
-		return nil, err
-	}
-	addrs := make([]string, cfg.Nodes)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("node-%d:8081", i)
-	}
-	ring, err := cluster.NewRing(cluster.Desc{Nodes: addrs, Cells: cells, Replicas: cfg.Replicas})
-	if err != nil {
-		return nil, err
-	}
-	c := &failCluster{
-		ring:    ring,
-		dead:    make([]atomic.Bool, cfg.Nodes),
-		delayNS: make([]atomic.Int64, cfg.Nodes),
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		e, err := newFailEngine(cfg.Seed)
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		c.engines = append(c.engines, e)
-	}
-	mirror := func() cluster.Handler {
-		e, err := newFailEngine(cfg.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mirror engine: %v", err))
-		}
-		return e
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		transports := make([]cluster.Transport, cfg.Nodes)
-		for j := range transports {
-			if j != i {
-				transports[j] = &failTransport{c: c, to: j}
-			}
-		}
-		node, err := cluster.NewNode(cluster.NodeConfig{
-			Ring:        ring,
-			Self:        i,
-			Local:       c.engines[i],
-			Transports:  transports,
-			Default:     tuple.CO2,
-			Replication: cluster.ReplicationConfig{NewMirror: mirror},
-		})
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-	}
-	return c, nil
-}
-
-func (c *failCluster) close() {
-	for _, n := range c.nodes {
-		n.Close()
-	}
-	for _, e := range c.engines {
-		e.Close()
-	}
-}
-
-// failData lays the deterministic lattice from the cluster tests over
-// the region: value is a linear field of position, timestamps spread
-// through window 0, so every answer is predictable and stable.
-func failData() tuple.Batch {
-	var b tuple.Batch
-	i := 0
-	for x := -1900.0; x <= 1900; x += 200 {
-		for y := -1900.0; y <= 1900; y += 200 {
-			t := 100 + float64(i%330)*10
-			b = append(b, tuple.Raw{T: t, X: x, Y: y, S: 400 + 0.01*x + 0.02*y})
-			i++
-		}
-	}
-	return b
-}
-
-// waitFailConverged polls until every sampled shard's replicas answer
-// exactly the owner engine's value, i.e. the replication streams (and
-// any catch-up pulls) have fully drained.
-func (c *failCluster) waitConverged(reqs []query.Request, timeout time.Duration) error {
-	//ctxcheck:allow the benchmark run is its own root; the poll is deadline-bounded
-	ctx := context.Background()
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := ""
-	check:
-		for _, req := range reqs {
-			pt := geo.Point{X: req.X, Y: req.Y}
-			owner := c.ring.Owner(tuple.CO2, pt)
-			want, err := c.engines[owner].Query(ctx, req)
-			if err != nil {
-				return fmt.Errorf("owner %d query: %w", owner, err)
-			}
-			k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: c.ring.CellOf(pt)}
-			for _, rep := range c.ring.ReplicasFor(k)[1:] {
-				tr := &failTransport{c: c, to: rep}
-				resp, err := tr.Exchange(wire.ReplicaRead{Origin: uint16(owner),
-					Inner: wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}})
-				if err != nil {
-					return err
-				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
-					lag = fmt.Sprintf("replica %d has no usable mirror of %d yet", rep, owner)
-					break check
-				}
-				qr, isQ := resp.(wire.QueryResponse)
-				if !isQ || qr.Value != want {
-					lag = fmt.Sprintf("replica %d of %d answers %#v, owner answers %v", rep, owner, resp, want)
-					break check
-				}
-			}
-		}
-		if lag == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replicas never converged: %s", lag)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func failDialer(c *failCluster) client.Dialer {
-	return func(addr string) (client.Transport, error) {
-		for i := 0; i < c.ring.Nodes(); i++ {
-			if c.ring.Addr(i) == addr {
-				return &failTransport{c: c, to: i}, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown address %q", addr)
-	}
+	return nil
 }
 
 // RunFailover runs both phases on fresh clusters and returns the
@@ -321,7 +141,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 // succeed byte-equal from its replica; writes (which never fail over)
 // keep landing on the surviving owners.
 func runFailoverKill(cfg FailoverConfig, res *FailoverResult) error {
-	c, err := newFailCluster(cfg)
+	c, err := newSimCluster(cfg.Nodes, cfg.Replicas, cfg.CellsPerSide, 0, cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -329,35 +149,27 @@ func runFailoverKill(cfg FailoverConfig, res *FailoverResult) error {
 	//ctxcheck:allow the benchmark run is its own root; bounded by cfg.Queries
 	ctx := context.Background()
 
-	data := failData()
-	resp := c.nodes[0].HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: data})
-	if ir, ok := resp.(wire.IngestResponse); !ok || int(ir.Ingested) != len(data) {
-		return fmt.Errorf("seed ingest failed: %#v", resp)
-	}
-	res.Loaded = len(data)
-
-	var samples []query.Request
-	for i := 0; i < len(data); i += 7 {
-		samples = append(samples, query.Request{T: failQueryT, X: data[i].X, Y: data[i].Y, Pollutant: tuple.CO2})
-	}
-	if err := c.waitConverged(samples, time.Duration(cfg.ConvergeTimeoutS)*time.Second); err != nil {
+	data, samples, err := c.load(time.Duration(cfg.ConvergeTimeoutS) * time.Second)
+	if err != nil {
 		return err
 	}
+	res.Loaded = len(data)
+	ring := c.member(0).node.Ring()
 
 	// The answers the owners give while alive are the contract the
 	// replicas must honour after the kill.
 	want := make([]float64, len(samples))
 	owners := make([]int, len(samples))
 	for i, req := range samples {
-		owners[i] = c.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		v, err := c.engines[owners[i]].Query(ctx, req)
+		owners[i] = ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
+		v, err := c.member(owners[i]).engine.Query(ctx, req)
 		if err != nil {
 			return err
 		}
 		want[i] = v
 	}
 
-	sc := client.NewSharded(&failTransport{c: c, to: 0}, failDialer(c))
+	sc := client.NewSharded(&simTransport{c: c, to: 0}, c.clientDialer())
 	defer sc.Close()
 	// Warm the client's ring before the node disappears.
 	s0 := samples[0]
@@ -367,14 +179,14 @@ func runFailoverKill(cfg FailoverConfig, res *FailoverResult) error {
 
 	const victim = 2
 	res.Victim = victim
-	c.dead[victim].Store(true)
+	c.member(victim).dead.Store(true)
 
 	// Survivor-owned write load interleaved with the reads: writes never
 	// fail over (primary-commits design), so the mixed load mirrors what
 	// an operator sees mid-outage — reads whole, writes on live shards.
 	var liveWrites tuple.Batch
 	for _, r := range data {
-		if c.ring.Owner(tuple.CO2, r.Pos()) != victim {
+		if ring.Owner(tuple.CO2, r.Pos()) != victim {
 			liveWrites = append(liveWrites, r)
 		}
 	}
@@ -407,7 +219,7 @@ func runFailoverKill(cfg FailoverConfig, res *FailoverResult) error {
 		if q%8 == 7 {
 			w := liveWrites[rng.Intn(len(liveWrites))]
 			res.IngestsAfterKill++
-			wr := c.nodes[0].HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: tuple.Batch{w}})
+			wr := c.member(0).node.HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: tuple.Batch{w}})
 			if _, ok := wr.(wire.IngestResponse); !ok {
 				res.IngestFailures++
 			}
@@ -421,42 +233,34 @@ func runFailoverKill(cfg FailoverConfig, res *FailoverResult) error {
 // primary. The same closed loop runs twice — hedging off, hedging on —
 // and records the latency distributions.
 func runFailoverHedge(cfg FailoverConfig, res *FailoverResult) error {
-	c, err := newFailCluster(cfg)
+	c, err := newSimCluster(cfg.Nodes, cfg.Replicas, cfg.CellsPerSide, 0, cfg.Seed)
 	if err != nil {
 		return err
 	}
 	defer c.close()
-
-	data := failData()
-	resp := c.nodes[0].HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: data})
-	if ir, ok := resp.(wire.IngestResponse); !ok || int(ir.Ingested) != len(data) {
-		return fmt.Errorf("seed ingest failed: %#v", resp)
-	}
-	var samples []query.Request
-	for i := 0; i < len(data); i += 7 {
-		samples = append(samples, query.Request{T: failQueryT, X: data[i].X, Y: data[i].Y, Pollutant: tuple.CO2})
-	}
-	if err := c.waitConverged(samples, time.Duration(cfg.ConvergeTimeoutS)*time.Second); err != nil {
+	_, samples, err := c.load(time.Duration(cfg.ConvergeTimeoutS) * time.Second)
+	if err != nil {
 		return err
 	}
 
 	const slowNode = 0
+	slow := c.member(slowNode)
 	run := func(hedge bool) ([]float64, error) {
-		sc := client.NewSharded(&failTransport{c: c, to: 1}, failDialer(c))
+		sc := client.NewSharded(&simTransport{c: c, to: 1}, c.clientDialer())
 		defer sc.Close()
 		sc.SetHedging(hedge)
 		sc.SetHedgeFloor(time.Duration(cfg.HedgeFloorMS) * time.Millisecond)
 		// Warm the client's latency window on the healthy cluster, so the
 		// p99-derived hedge delay reflects steady state rather than the
 		// injected fault, then slow the primary for the measured loop.
-		c.delayNS[slowNode].Store(0)
+		slow.delayNS.Store(0)
 		for i := 0; i < 32; i++ {
 			req := samples[i%len(samples)]
 			if _, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}); err != nil {
 				return nil, err
 			}
 		}
-		c.delayNS[slowNode].Store(int64(time.Duration(cfg.SlowPrimaryMS) * time.Millisecond))
+		slow.delayNS.Store(int64(time.Duration(cfg.SlowPrimaryMS) * time.Millisecond))
 		rng := rand.New(rand.NewSource(cfg.Seed + 2))
 		lat := make([]float64, 0, cfg.Queries)
 		for q := 0; q < cfg.Queries; q++ {

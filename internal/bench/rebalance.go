@@ -19,17 +19,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -100,230 +95,52 @@ type RebalanceResult struct {
 	PostQueries    int `json:"post_queries"`
 	PostMismatches int `json:"post_mismatches"`
 
-	// Acceptance booleans (re-checked by the CLI after writing the
-	// file).
+	// Acceptance booleans (see Check).
 	ZeroErrorJoin     bool `json:"zero_error_join"`
 	EpochAdvancedOnce bool `json:"epoch_advanced_once"`
 	JoinerOwnsShards  bool `json:"joiner_owns_shards"`
 	AnswersPreserved  bool `json:"answers_preserved"`
 }
 
-// rebalCluster is an in-process replicated cluster that can grow: real
-// engines, real ring, real binary codec on every hop, with a stall
-// injected in front of membership frames so a join has a measurable
-// window.
-type rebalCluster struct {
-	mu      sync.Mutex
-	engines []*server.Engine
-	nodes   []*cluster.Node
-	addrs   []string
-	seed    int64
-	stallNS atomic.Int64
-}
-
-type rebalTransport struct {
-	c  *rebalCluster
-	to int
-}
-
-func (t *rebalTransport) Exchange(req wire.Message) (wire.Message, error) {
-	switch req.(type) {
-	case wire.JoinRequest, wire.RingUpdate, wire.ShardTransfer, wire.Promote:
-		if d := t.c.stallNS.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
+// Check reports the first acceptance criterion the run misses: its
+// four booleans, plus a join window that actually holds a latency
+// sample.
+func (r RebalanceResult) Check() error {
+	switch {
+	case !r.ZeroErrorJoin:
+		return fmt.Errorf("join was not error-free: %d/%d queries failed during the join window",
+			r.JoinErrors, r.JoinQueries)
+	case !r.EpochAdvancedOnce:
+		return fmt.Errorf("epoch did not advance exactly once everywhere (%d -> %d)", r.EpochBefore, r.EpochAfter)
+	case !r.JoinerOwnsShards:
+		return fmt.Errorf("joiner owns no shards after the commit")
+	case !r.AnswersPreserved:
+		return fmt.Errorf("%d answers changed across the rebalance", r.PostMismatches)
+	case r.JoinQueries <= 0 || r.JoinP99Ms <= 0:
+		return fmt.Errorf("no join-window latency sample (%d queries, p99 %.3fms)", r.JoinQueries, r.JoinP99Ms)
 	}
-	reqB, err := wire.Binary.Encode(req)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := wire.Binary.Decode(reqB)
-	if err != nil {
-		return nil, err
-	}
-	t.c.mu.Lock()
-	node := t.c.nodes[t.to]
-	t.c.mu.Unlock()
-	resp := node.HandleMessage(decoded)
-	respB, err := wire.Binary.Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	return wire.Binary.Decode(respB)
-}
-
-func (c *rebalCluster) dialer() cluster.Dialer {
-	return func(addr string) (cluster.Transport, error) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for i, a := range c.addrs {
-			if a == addr {
-				return &rebalTransport{c: c, to: i}, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown address %q", addr)
-	}
-}
-
-// addNode builds an engine+node pair serving ring as member self.
-func (c *rebalCluster) addNode(ring *cluster.Ring, self int) error {
-	engine, err := newFailEngine(c.seed)
-	if err != nil {
-		return err
-	}
-	mirror := func() cluster.Handler {
-		e, err := newFailEngine(c.seed)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mirror engine: %v", err))
-		}
-		return e
-	}
-	// Explicit transports cover the boot-time members; Dial covers
-	// nodes that join later.
-	transports := make([]cluster.Transport, ring.Nodes())
-	for j := range transports {
-		if j != self {
-			transports[j] = &rebalTransport{c: c, to: j}
-		}
-	}
-	node, err := cluster.NewNode(cluster.NodeConfig{
-		Ring:        ring,
-		Self:        self,
-		Local:       engine,
-		Transports:  transports,
-		Dial:        c.dialer(),
-		Default:     tuple.CO2,
-		Replication: cluster.ReplicationConfig{NewMirror: mirror},
-	})
-	if err != nil {
-		engine.Close()
-		return err
-	}
-	c.mu.Lock()
-	c.engines = append(c.engines, engine)
-	c.nodes = append(c.nodes, node)
-	c.mu.Unlock()
 	return nil
-}
-
-func newRebalCluster(cfg RebalanceConfig) (*rebalCluster, error) {
-	cells, err := cluster.Cells(failRegion, cfg.CellsPerSide, 1)
-	if err != nil {
-		return nil, err
-	}
-	addrs := make([]string, cfg.Nodes)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("node-%d:8081", i)
-	}
-	// Epoch 1, not 0: frames routed at epoch 0 are legacy (epoch-
-	// agnostic) and are never fenced, so a measured transition must
-	// start from a real epoch.
-	ring, err := cluster.NewRing(cluster.Desc{Nodes: addrs, Cells: cells, Replicas: cfg.Replicas, Epoch: 1})
-	if err != nil {
-		return nil, err
-	}
-	c := &rebalCluster{addrs: addrs, seed: cfg.Seed}
-	for i := 0; i < cfg.Nodes; i++ {
-		if err := c.addNode(ring, i); err != nil {
-			c.close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-func (c *rebalCluster) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		n.Close()
-	}
-	for _, e := range c.engines {
-		e.Close()
-	}
-}
-
-func (c *rebalCluster) node(i int) *cluster.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[i]
-}
-
-// waitConverged polls until every sampled shard's replicas answer
-// exactly the owner engine's value (same contract as the failover
-// bench, against this cluster's growable node set).
-func (c *rebalCluster) waitConverged(ring *cluster.Ring, reqs []query.Request, timeout time.Duration) error {
-	//ctxcheck:allow the benchmark run is its own root; the poll is deadline-bounded
-	ctx := context.Background()
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := ""
-	check:
-		for _, req := range reqs {
-			pt := geo.Point{X: req.X, Y: req.Y}
-			owner := ring.Owner(tuple.CO2, pt)
-			c.mu.Lock()
-			ownerEngine := c.engines[owner]
-			c.mu.Unlock()
-			want, err := ownerEngine.Query(ctx, req)
-			if err != nil {
-				return fmt.Errorf("owner %d query: %w", owner, err)
-			}
-			k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: ring.CellOf(pt)}
-			for _, rep := range ring.ReplicasFor(k)[1:] {
-				tr := &rebalTransport{c: c, to: rep}
-				resp, err := tr.Exchange(wire.ReplicaRead{Origin: uint16(owner),
-					Inner: wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}})
-				if err != nil {
-					return err
-				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
-					lag = fmt.Sprintf("replica %d has no usable mirror of %d yet", rep, owner)
-					break check
-				}
-				qr, isQ := resp.(wire.QueryResponse)
-				if !isQ || qr.Value != want {
-					lag = fmt.Sprintf("replica %d of %d answers %#v, owner answers %v", rep, owner, resp, want)
-					break check
-				}
-			}
-		}
-		if lag == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replicas never converged: %s", lag)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // RunRebalance runs the benchmark and returns the self-validated
 // result.
 func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	res := &RebalanceResult{Config: cfg}
-	c, err := newRebalCluster(cfg)
+	// Epoch 1, not 0: frames routed at epoch 0 are legacy (epoch-
+	// agnostic) and are never fenced, so a measured transition must
+	// start from a real epoch.
+	c, err := newSimCluster(cfg.Nodes, cfg.Replicas, cfg.CellsPerSide, 1, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	defer c.close()
-
-	data := failData()
-	resp := c.node(0).HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: data})
-	if ir, ok := resp.(wire.IngestResponse); !ok || int(ir.Ingested) != len(data) {
-		return nil, fmt.Errorf("seed ingest failed: %#v", resp)
-	}
-	res.Loaded = len(data)
-
-	baseRing := c.node(0).Ring()
-	res.EpochBefore = baseRing.Epoch()
-	var samples []query.Request
-	for i := 0; i < len(data); i += 7 {
-		samples = append(samples, query.Request{T: failQueryT, X: data[i].X, Y: data[i].Y, Pollutant: tuple.CO2})
-	}
-	if err := c.waitConverged(baseRing, samples, time.Duration(cfg.ConvergeTimeoutS)*time.Second); err != nil {
+	data, samples, err := c.load(time.Duration(cfg.ConvergeTimeoutS) * time.Second)
+	if err != nil {
 		return nil, err
 	}
+	res.Loaded = len(data)
+	baseRing := c.member(0).node.Ring()
+	res.EpochBefore = baseRing.Epoch()
 
 	// The answers the cluster gives before the rebalance are the
 	// contract: a join moves shards, it must not move values. The
@@ -337,23 +154,14 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	want := make([]float64, len(samples))
 	for i, req := range samples {
 		owner := baseRing.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		c.mu.Lock()
-		ownerEngine := c.engines[owner]
-		c.mu.Unlock()
-		v, err := ownerEngine.QueryOpts(ctx, req, naive)
+		v, err := c.member(owner).engine.QueryOpts(ctx, req, naive)
 		if err != nil {
 			return nil, err
 		}
 		want[i] = v
 	}
 
-	sc := client.NewSharded(&rebalTransport{c: c, to: 0}, func(addr string) (client.Transport, error) {
-		tr, err := c.dialer()(addr)
-		if err != nil {
-			return nil, err
-		}
-		return tr, nil
-	})
+	sc := client.NewSharded(&simTransport{c: c, to: 0}, c.clientDialer())
 	defer sc.Close()
 
 	ask := func(req query.Request) (float64, error) {
@@ -388,7 +196,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	// window spans many queries.
 	c.stallNS.Store(int64(time.Duration(cfg.JoinStallMS) * time.Millisecond))
 	joinerAddr := fmt.Sprintf("node-%d:8081", cfg.Nodes)
-	pending, err := cluster.JoinCluster(&rebalTransport{c: c, to: 0}, joinerAddr)
+	pending, err := cluster.JoinCluster(&simTransport{c: c, to: 0}, joinerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("join announce: %w", err)
 	}
@@ -398,7 +206,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	if err := c.addNode(pending, cfg.Nodes); err != nil {
 		return nil, fmt.Errorf("joiner node: %w", err)
 	}
-	joiner := c.node(cfg.Nodes)
+	joiner := c.member(cfg.Nodes).node
 
 	joinStart := time.Now()
 	joinDone := make(chan error, 1) //bounded: exactly one CompleteJoin result; capacity 1 lets the goroutine exit unreceived
@@ -432,10 +240,10 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	res.EpochAfter = joiner.Ring().Epoch()
 	epochsAgree := true
 	c.mu.Lock()
-	nodes := append([]*cluster.Node(nil), c.nodes...)
+	members := append([]*simMember(nil), c.members...)
 	c.mu.Unlock()
-	for _, n := range nodes {
-		if n.Ring().Epoch() != res.EpochAfter {
+	for _, m := range members {
+		if m.node.Ring().Epoch() != res.EpochAfter {
 			epochsAgree = false
 		}
 	}
@@ -448,9 +256,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	for i, req := range samples {
 		res.PostQueries++
 		owner := joined.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		c.mu.Lock()
-		ownerEngine := c.engines[owner]
-		c.mu.Unlock()
+		ownerEngine := c.member(owner).engine
 		direct, err := ownerEngine.Query(ctx, req)
 		if err != nil {
 			res.PostMismatches++

@@ -102,6 +102,18 @@ type SubsResult struct {
 	DeltaPoints    int64 `json:"delta_points"`
 }
 
+// Check reports the first acceptance criterion the run misses: both
+// paths recorded traffic, and pushing sent fewer bytes than polling.
+func (r SubsResult) Check() error {
+	if r.PushedBytes <= 0 || r.PolledBytes <= 0 {
+		return fmt.Errorf("no traffic recorded (pushed %d, polled %d)", r.PushedBytes, r.PolledBytes)
+	}
+	if r.PushedBytes >= r.PolledBytes {
+		return fmt.Errorf("pushed bytes %d not below polled bytes %d", r.PushedBytes, r.PolledBytes)
+	}
+	return nil
+}
+
 // subscriber is one benchmark client: its route, live handle, and the
 // value vector a polling client would re-download each round.
 type subscriber struct {

@@ -42,22 +42,21 @@ type Transport interface {
 }
 
 // LinkTransport is a Transport over a simulated cellular link: requests
-// and responses are encoded with a codec, their sizes charged to the link,
-// and the handler invoked in-process.
+// and responses are encoded with wire.Binary, their sizes charged to the
+// link, and the handler invoked in-process.
 type LinkTransport struct {
 	Link    *netsim.Link
-	Codec   wire.Codec
 	Handler Handler
 }
 
 // Exchange implements Transport.
 func (t *LinkTransport) Exchange(req wire.Message) (wire.Message, error) {
-	reqData, err := t.Codec.Encode(req)
+	reqData, err := wire.Binary.Encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
 	resp := t.Handler.HandleMessage(req)
-	respData, err := t.Codec.Encode(resp)
+	respData, err := wire.Binary.Encode(resp)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode response: %w", err)
 	}
@@ -66,7 +65,7 @@ func (t *LinkTransport) Exchange(req wire.Message) (wire.Message, error) {
 	}
 	// Decode the response as the device would, so malformed server output
 	// surfaces as an error rather than silently passing a Go value along.
-	decoded, err := t.Codec.Decode(respData)
+	decoded, err := wire.Binary.Decode(respData)
 	if err != nil {
 		return nil, fmt.Errorf("client: decode response: %w", err)
 	}

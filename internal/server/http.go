@@ -47,7 +47,6 @@ type API struct {
 func NewAPI(engine *Engine) *API {
 	a := &API{engine: engine, mux: http.NewServeMux(), sse: newSubBroker(sseResumeTTL)}
 	a.mux.HandleFunc("/v1/query", a.handlePointQuery)
-	a.mux.HandleFunc("/v1/query/point", a.handlePointQuery) // legacy alias
 	a.mux.HandleFunc("/v1/query/batch", a.handleBatch)
 	a.mux.HandleFunc("/v1/query/continuous", a.handleContinuous)
 	a.mux.HandleFunc("/v1/subscribe", a.handleSubscribe)
@@ -91,6 +90,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	return false
+}
+
+// withinItemCap answers 413 and returns false when a decoded list holds
+// more than wire.MaxBatchItems items: a clustered node forwards such a
+// list as one batch frame, which cannot carry more.
+func withinItemCap(w http.ResponseWriter, n int, what string) bool {
+	if n <= wire.MaxBatchItems {
+		return true
+	}
+	writeError(w, http.StatusRequestEntityTooLarge,
+		fmt.Errorf("%d %s exceed the %d-item cap", n, what, wire.MaxBatchItems))
 	return false
 }
 
@@ -246,7 +257,7 @@ func pointResponseFor(p tuple.Pollutant, v float64) pointResponse {
 }
 
 // handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant=&processor=&radius=
-// (and its legacy alias /v1/query/point) — the single point query mode.
+// — the single point query mode.
 func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
@@ -322,16 +333,16 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var br batchRequest
-	if !decodeBody(w, r, &br) {
+	if !decodeBody(w, r, &br) || !withinItemCap(w, len(br.Requests), "requests") {
 		return
 	}
 	if len(br.Requests) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	// Untagged requests inherit the route pollutant (?pollutant=, falling
-	// back to the engine default) so Observatory-style /PM/v1/query/batch
-	// URLs answer for PM like every other endpoint.
+	// Untagged requests inherit the request's ?pollutant= (falling back
+	// to the engine default), so /v1/query/batch?pollutant=pm answers
+	// for PM like every other endpoint.
 	routePol, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -402,7 +413,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req continuousRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) || !withinItemCap(w, len(req.Points), "points") {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -631,7 +642,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req routeSummaryRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) || !withinItemCap(w, len(req.Fixes), "fixes") {
 		return
 	}
 	rec := route.NewRecorder(route.RecorderConfig{})
@@ -840,8 +851,8 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The top-level legacy fields describe the requested pollutant
-	// (?pollutant=, default: the engine default), so Observatory-style
-	// routed URLs like /PM/v1/stats report that pollutant's shard.
+	// (?pollutant=, default: the engine default), so
+	// /v1/stats?pollutant=pm reports the PM shard.
 	top, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -16,10 +16,10 @@ import (
 	"repro/internal/wire"
 )
 
-// TestHTTPOversizedBodiesGet413 posts a body one byte past maxBodyBytes
-// to every handler that decodes one: each must answer 413 without
-// reading further, and the server must keep serving afterwards.
-func TestHTTPOversizedBodiesGet413(t *testing.T) {
+// newLimitServer serves the cluster HTTP API of a one-node cluster over
+// an empty in-memory CO2 store.
+func newLimitServer(t *testing.T) *httptest.Server {
+	t.Helper()
 	st := store.MustOpenMemory(100)
 	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
 		core.Config{Cluster: kmeans.Config{Seed: 21}})
@@ -44,6 +44,14 @@ func TestHTTPOversizedBodiesGet413(t *testing.T) {
 	t.Cleanup(func() { node.Close() })
 	srv := httptest.NewServer(NewClusterAPI(e, node))
 	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestHTTPOversizedBodiesGet413 posts a body one byte past maxBodyBytes
+// to every handler that decodes one: each must answer 413 without
+// reading further, and the server must keep serving afterwards.
+func TestHTTPOversizedBodiesGet413(t *testing.T) {
+	srv := newLimitServer(t)
 
 	// The cap admits a full batch of wire.MaxBatchItems items with every
 	// number at full float64 precision.
@@ -89,5 +97,42 @@ func TestHTTPOversizedBodiesGet413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cluster status after the oversized bodies: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPOverlongListsGet413 posts one item past wire.MaxBatchItems to
+// each list-taking handler. The body itself is small (about 1.3 MB, far
+// under maxBodyBytes), but a clustered node would forward the list as
+// one batch frame the binary codec cannot encode: each handler must
+// answer 413, while a list at the cap is accepted.
+func TestHTTPOverlongListsGet413(t *testing.T) {
+	srv := newLimitServer(t)
+	list := func(key string, n int) []byte {
+		items := strings.TrimSuffix(strings.Repeat(`{"t":1,"x":1,"y":1},`, n), ",")
+		return []byte(`{"` + key + `":[` + items + `]}`)
+	}
+	for _, c := range []struct{ path, key string }{
+		{"/v1/query/batch", "requests"},
+		{"/v1/query/continuous", "points"},
+		{"/v1/route/summary", "fixes"},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", bytes.NewReader(list(c.key, wire.MaxBatchItems+1)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d items answered %d, want 413", c.path, wire.MaxBatchItems+1, resp.StatusCode)
+		}
+	}
+	// At the cap the batch is admitted (the empty store answers every
+	// item with its own error, inside a 200).
+	resp, err := http.Post(srv.URL+"/v1/query/batch", "application/json", bytes.NewReader(list("requests", wire.MaxBatchItems)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("batch at the cap answered %d, want 200", resp.StatusCode)
 	}
 }

@@ -2,8 +2,8 @@ package wire
 
 // Round-trip and robustness tests for the v1.2 cluster messages: ring
 // exchange, wire ingest, heatmap scatter frames, NotOwner bounces, and
-// the Forwarded wrapper — across both codecs, plus the backward-
-// compatibility guarantee that pre-cluster frames decode unchanged.
+// the Forwarded wrapper, plus the backward-compatibility guarantee that
+// pre-cluster frames decode unchanged.
 
 import (
 	"errors"
@@ -49,29 +49,25 @@ func clusterMessages() []Message {
 }
 
 func TestClusterMessageRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range clusterMessages() {
-			enc, err := codec.Encode(m)
-			if err != nil {
-				t.Fatalf("%s encode %T: %v", codec.Name(), m, err)
-			}
-			dec, err := codec.Decode(enc)
-			if err != nil {
-				t.Fatalf("%s decode %T: %v", codec.Name(), m, err)
-			}
-			if !reflect.DeepEqual(m, dec) {
-				t.Fatalf("%s round trip of %T:\n got %#v\nwant %#v", codec.Name(), m, dec, m)
-			}
+	for _, m := range clusterMessages() {
+		enc, err := Binary.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		dec, err := Binary.Decode(enc)
+		if err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, dec) {
+			t.Fatalf("round trip of %T:\n got %#v\nwant %#v", m, dec, m)
 		}
 	}
 }
 
 func TestForwardedNeverNests(t *testing.T) {
 	inner := Forwarded{Inner: QueryRequest{T: 1}}
-	for _, codec := range []Codec{Binary, JSON} {
-		if _, err := codec.Encode(Forwarded{Inner: inner}); err == nil {
-			t.Errorf("%s encoded a nested forwarded frame", codec.Name())
-		}
+	if _, err := Binary.Encode(Forwarded{Inner: inner}); err == nil {
+		t.Error("encoded a nested forwarded frame")
 	}
 	// A hand-crafted nested binary frame must be rejected, not recursed.
 	innerB, err := Binary.Encode(inner)

@@ -4,14 +4,15 @@
 // pair that ships the whole model cover (t_n, µ, M) to model-cache
 // clients.
 //
-// Two codecs are provided. The compact binary codec is what the bandwidth
-// experiment (Figure 7b) uses — every byte matters on GPRS/3G — while the
-// JSON codec serves the web interface and supports the codec ablation.
+// One codec is provided: the compact binary codec, which every server,
+// router, replica and client speaks and which the bandwidth experiment
+// (Figure 7b) measures — every byte matters on GPRS/3G. The JSON tags
+// are for the HTTP API, which serves some of these messages as JSON
+// (model responses, the ring), and for the codec-size ablation.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -49,13 +50,12 @@ type QueryRequest struct {
 	T float64 `json:"t"`
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
-	// Pollutant is always emitted by v1 encoders (no omitempty), so an
-	// absent JSON field unambiguously marks a pre-v1 client.
+	// Pollutant is always written by v1 encoders, as the 26th byte.
 	Pollutant tuple.Pollutant `json:"pollutant"`
 	// Legacy marks a frame decoded from the pre-v1 (untagged) layout —
-	// a 25-byte binary frame or a JSON body without a pollutant field.
-	// The server routes legacy frames to its default pollutant; tagged
-	// frames are routed literally. Never set by encoders.
+	// a 25-byte frame without the pollutant byte. The server routes
+	// legacy frames to its default pollutant; tagged frames are routed
+	// literally. Never set by encoders.
 	Legacy bool `json:"-"`
 }
 
@@ -147,26 +147,12 @@ var (
 	ErrUnknown   = errors.New("wire: unknown message type")
 )
 
-// Codec serializes protocol messages.
-type Codec interface {
-	// Name identifies the codec ("binary", "json").
-	Name() string
-	// Encode serializes m.
-	Encode(m Message) ([]byte, error)
-	// Decode parses one message.
-	Decode(data []byte) (Message, error)
-}
-
-// Binary is the compact binary codec: a 1-byte type tag followed by
-// fixed-width little-endian fields. This is the deployment codec.
-var Binary Codec = binaryCodec{}
-
-// JSON is the self-describing JSON codec used by the web interface.
-var JSON Codec = jsonCodec{}
+// Binary is the protocol codec: a 1-byte type tag followed by
+// fixed-width little-endian fields. Encode serializes one message;
+// Decode parses one.
+var Binary binaryCodec
 
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 func (binaryCodec) Encode(m Message) ([]byte, error) {
 	switch v := m.(type) {
@@ -457,288 +443,6 @@ func decodeModelResponse(data []byte) (Message, error) {
 
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-
-// envelope wraps messages with a type tag for JSON transport. Epoch is
-// carried only on Forwarded envelopes (the sender's membership epoch);
-// pre-epoch decoders ignore the extra field.
-type envelope struct {
-	Type    MsgType         `json:"type"`
-	Epoch   uint64          `json:"epoch,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-func (jsonCodec) Encode(m Message) ([]byte, error) {
-	// A forwarded frame nests a full envelope as its payload, so the
-	// inner message keeps its own type tag.
-	if fw, ok := m.(Forwarded); ok {
-		if fw.Inner == nil {
-			return nil, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
-		}
-		if _, nested := fw.Inner.(Forwarded); nested {
-			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
-		}
-		payload, err := JSON.Encode(fw.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(envelope{Type: TypeForwarded, Epoch: fw.Epoch, Payload: payload})
-	}
-	// A replica read nests a full envelope alongside the origin node ID,
-	// for the same reason.
-	if rr, ok := m.(ReplicaRead); ok {
-		if rr.Inner == nil {
-			return nil, fmt.Errorf("%w: replica read without inner message", ErrMalformed)
-		}
-		switch rr.Inner.(type) {
-		case ReplicaRead, Forwarded:
-			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
-		}
-		inner, err := JSON.Encode(rr.Inner)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := json.Marshal(struct {
-			Origin uint16          `json:"origin"`
-			Inner  json.RawMessage `json:"inner"`
-		}{Origin: rr.Origin, Inner: inner})
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal payload: %w", err)
-		}
-		return json.Marshal(envelope{Type: TypeReplicaRead, Payload: payload})
-	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal payload: %w", err)
-	}
-	return json.Marshal(envelope{Type: m.Type(), Payload: payload})
-}
-
-func (jsonCodec) Decode(data []byte) (Message, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	var target Message
-	switch env.Type {
-	case TypeQueryRequest:
-		// A pointer pollutant distinguishes "absent" (pre-v1 client →
-		// Legacy) from an explicit zero (CO2), mirroring the binary
-		// codec's 25- vs 26-byte distinction.
-		var v struct {
-			T         float64          `json:"t"`
-			X         float64          `json:"x"`
-			Y         float64          `json:"y"`
-			Pollutant *tuple.Pollutant `json:"pollutant"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		m := QueryRequest{T: v.T, X: v.X, Y: v.Y}
-		if v.Pollutant != nil {
-			m.Pollutant = *v.Pollutant
-		} else {
-			m.Legacy = true
-		}
-		target = m
-	case TypeQueryResponse:
-		var v QueryResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeBatchQueryRequest:
-		// Batch frames are v1.1-only: items decode literally, no legacy
-		// pollutant inference.
-		var v BatchQueryRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeBatchQueryResponse:
-		var v BatchQueryResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeModelRequest:
-		var v struct {
-			T         float64          `json:"t"`
-			Pollutant *tuple.Pollutant `json:"pollutant"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		m := ModelRequest{T: v.T}
-		if v.Pollutant != nil {
-			m.Pollutant = *v.Pollutant
-		} else {
-			m.Legacy = true
-		}
-		target = m
-	case TypeModelResponse:
-		var v ModelResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeError:
-		var v ErrorResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeRingRequest:
-		target = RingRequest{}
-	case TypeRingResponse:
-		var v RingResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeIngestRequest:
-		var v IngestRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeIngestResponse:
-		var v IngestResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeHeatmapRequest:
-		var v HeatmapRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeHeatmapResponse:
-		var v HeatmapResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeNotOwner:
-		var v NotOwnerResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeForwarded:
-		var inner envelope
-		if err := json.Unmarshal(env.Payload, &inner); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		if inner.Type == TypeForwarded {
-			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
-		}
-		m, err := JSON.Decode(env.Payload)
-		if err != nil {
-			return nil, err
-		}
-		target = Forwarded{Inner: m, Epoch: env.Epoch}
-	case TypeSubscribeRequest:
-		var v SubscribeRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeSubscribeAck:
-		var v SubscribeAck
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypePush:
-		var v Push
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeUnsubscribeRequest:
-		var v UnsubscribeRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeUnsubscribeResponse:
-		var v UnsubscribeResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaIngest:
-		var v ReplicaIngest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaCatchupRequest:
-		var v ReplicaCatchupRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaCatchupResponse:
-		var v ReplicaCatchupResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaRead:
-		var v struct {
-			Origin uint16          `json:"origin"`
-			Inner  json.RawMessage `json:"inner"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		var inner envelope
-		if err := json.Unmarshal(v.Inner, &inner); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		if inner.Type == TypeReplicaRead || inner.Type == TypeForwarded {
-			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
-		}
-		m, err := JSON.Decode(v.Inner)
-		if err != nil {
-			return nil, err
-		}
-		target = ReplicaRead{Origin: v.Origin, Inner: m}
-	case TypeJoinRequest:
-		var v JoinRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeRingUpdate:
-		var v RingUpdate
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeShardTransfer:
-		var v ShardTransfer
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypePromote:
-		var v Promote
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	default:
-		return nil, fmt.Errorf("%w: tag %d", ErrUnknown, env.Type)
-	}
-	return target, nil
-}
 
 // ModelResponseFromCover serializes a built cover into the wire form the
 // server sends in response to e_l.

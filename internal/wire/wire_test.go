@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,33 +40,32 @@ func sampleMessages() []Message {
 	}
 }
 
-func TestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range sampleMessages() {
-			data, err := codec.Encode(m)
-			if err != nil {
-				t.Fatalf("%s: encode %T: %v", codec.Name(), m, err)
-			}
-			got, err := codec.Decode(data)
-			if err != nil {
-				t.Fatalf("%s: decode %T: %v", codec.Name(), m, err)
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Errorf("%s: round trip %T: got %+v, want %+v", codec.Name(), m, got, m)
-			}
+func TestMessageRoundTrip(t *testing.T) {
+	for _, m := range sampleMessages() {
+		data, err := Binary.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		got, err := Binary.Decode(data)
+		if err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip %T: got %+v, want %+v", m, got, m)
 		}
 	}
 }
 
 func TestBinaryIsSmallerThanJSON(t *testing.T) {
-	// The deployment codec must actually be more compact — the premise of
-	// running binary over GPRS.
+	// The binary codec must actually be more compact than JSON — the
+	// premise of running binary over GPRS — even against the bare JSON
+	// message with no type envelope.
 	for _, m := range sampleMessages() {
 		b, err := Binary.Encode(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := JSON.Encode(m)
+		j, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,36 +133,6 @@ func TestBinaryLegacyDecode(t *testing.T) {
 	}
 }
 
-func TestJSONLegacyDecode(t *testing.T) {
-	// JSON bodies without a pollutant field decode as legacy (routed to
-	// the server default), mirroring the binary codec's 25-byte frames.
-	data := []byte(`{"type":1,"payload":{"t":5,"x":6,"y":7}}`)
-	got, err := JSON.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.CO2, Legacy: true}); got != want {
-		t.Errorf("legacy JSON QueryRequest = %+v, want %+v", got, want)
-	}
-	// An explicit zero pollutant is a tagged CO2 request, not legacy.
-	data = []byte(`{"type":1,"payload":{"t":5,"x":6,"y":7,"pollutant":0}}`)
-	got, err = JSON.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.CO2}); got != want {
-		t.Errorf("tagged JSON QueryRequest = %+v, want %+v", got, want)
-	}
-	// Same distinction for model requests.
-	gotM, err := JSON.Decode([]byte(`{"type":3,"payload":{"t":9}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (ModelRequest{T: 9, Legacy: true}); gotM != want {
-		t.Errorf("legacy JSON ModelRequest = %+v, want %+v", gotM, want)
-	}
-}
-
 func TestBinaryDecodeErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -201,19 +171,6 @@ func TestBinaryModelResponseTruncation(t *testing.T) {
 	// Trailing garbage must also fail.
 	if _, err := Binary.Decode(append(append([]byte{}, data...), 0x00)); err == nil {
 		t.Error("trailing byte accepted")
-	}
-}
-
-func TestJSONDecodeErrors(t *testing.T) {
-	cases := [][]byte{
-		[]byte(`not json`),
-		[]byte(`{"type":99,"payload":{}}`),
-		[]byte(`{"type":1,"payload":"not an object"}`),
-	}
-	for _, data := range cases {
-		if _, err := JSON.Decode(data); err == nil {
-			t.Errorf("decode %q: expected error", data)
-		}
 	}
 }
 

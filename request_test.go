@@ -361,6 +361,28 @@ func TestHTTPV1Batch(t *testing.T) {
 		t.Errorf("batch pollutants: %+v", br.Values)
 	}
 
+	// ?pollutant= sets the default for untagged items: the untagged
+	// request posted with pollutant=pm answers for PM, at the same value
+	// as the tagged PM item above.
+	resp3, err := http.Post(srv.URL+"/v1/query/batch?pollutant=pm", "application/json",
+		strings.NewReader(`{"requests":[{"t":1800,"x":1200,"y":800}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var routed struct {
+		Values []struct {
+			Value     float64 `json:"value"`
+			Pollutant string  `json:"pollutant"`
+		} `json:"values"`
+	}
+	if err := json.NewDecoder(resp3.Body).Decode(&routed); err != nil {
+		t.Fatal(err)
+	}
+	if len(routed.Values) != 1 || routed.Values[0].Pollutant != "PM" || routed.Values[0].Value != br.Values[1].Value {
+		t.Errorf("untagged batch under pollutant=pm answered %+v, want PM %v", routed.Values, br.Values[1].Value)
+	}
+
 	// Empty batch is a bad request.
 	resp2, err := http.Post(srv.URL+"/v1/query/batch", "application/json",
 		strings.NewReader(`{"requests":[]}`))
